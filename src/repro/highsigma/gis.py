@@ -28,7 +28,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.engine.sharding import ShardedRunner, ShardResult, spawn_generators
+from repro.engine.sharding import (
+    ShardedRunner,
+    ShardResult,
+    resolve_shards,
+    spawn_generators,
+)
 from repro.errors import SearchError
 from repro.highsigma.estimators import MeanShiftISCore
 from repro.highsigma.limitstate import LimitState
@@ -101,13 +106,20 @@ class GradientImportanceSampling:
         Keep only MPFPs with ``beta <= beta_min + beta_window`` (farther
         regions contribute negligibly).
     workers / n_shards / runner:
-        Stage-2 sampling parallelism, forwarded to
-        :class:`~repro.highsigma.estimators.MeanShiftISCore`.  With
-        ``n_starts > 1`` the stage-1 searches also fan out over
-        ``workers`` (one start per shard, deterministic selection in
-        start order — see :meth:`search_mpfps`).  ``runner`` may be a
-        persistent :class:`~repro.engine.sharding.ShardedRunner` shared
-        across runs; it is used for the sampling stage only.
+        Parallelism of both stages.  Stage-2 sampling is forwarded to
+        :class:`~repro.highsigma.estimators.MeanShiftISCore`.  In stage
+        1 every gradient batch of a search splits into ``n_shards``
+        contiguous row blocks run on ``workers`` processes (see
+        :class:`~repro.highsigma.mpfp.MpfpSearch`); with ``n_starts >
+        1`` the searches themselves also fan out over ``workers`` (one
+        start per shard, deterministic selection in start order — see
+        :meth:`search_mpfps`), and each start's stencils then split in
+        process inside its worker.  No result depends on ``workers``.
+        ``runner`` may be a persistent
+        :class:`~repro.engine.sharding.ShardedRunner` shared across
+        runs; it runs the sampling stage, and stage 1 borrows only its
+        :class:`~repro.engine.sharding.RetryPolicy`, on transient
+        runners.
     """
 
     method_name = "gis"
@@ -153,7 +165,14 @@ class GradientImportanceSampling:
     def _run_one_start(self, start: int, rng: np.random.Generator) -> MpfpResult:
         """One gradient search: start 0 from the origin, the rest from a
         random direction at radius 2 drawn from the start's own stream."""
-        search = MpfpSearch(self.ls, options=self.mpfp_options, grad_fn=self.grad_fn)
+        search = MpfpSearch(
+            self.ls,
+            options=self.mpfp_options,
+            grad_fn=self.grad_fn,
+            workers=self.workers,
+            n_shards=resolve_shards(self.n_shards, self.workers),
+            retry=getattr(self.runner, "retry", None),
+        )
         if start == 0:
             u0 = None
         else:

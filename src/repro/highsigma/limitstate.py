@@ -14,17 +14,42 @@ needs:
   such comparisons go wrong;
 * an optional **cache**, so that re-evaluating the same vector (which
   MPFP line searches do) is not double-billed.
+
+Gradient stencils may run sharded (:meth:`LimitState.g_batch_sharded`):
+the rows split into contiguous blocks over a
+:class:`~repro.engine.sharding.ShardedRunner`, and the parent bills and
+caches the whole stencil once, exactly as an unsplit :meth:`g_batch`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.engine.sharding import RetryPolicy, ShardedRunner, ShardResult
 from repro.errors import EstimationError
 
 __all__ = ["LimitState"]
+
+
+class _BlockMetricsTask:
+    """Shard task for one row block of a sharded stencil.
+
+    Ships the block's *raw* metrics back, not margins: the parent caches
+    metrics, and ``spec - (spec - m)`` is not ``m`` in floating point.
+    It bills nothing; the parent bills the whole stencil once.  The
+    shard RNG argument is ignored (stencil shards get no stream).
+    """
+
+    __slots__ = ("ls", "blocks")
+
+    def __init__(self, ls: "LimitState", blocks: List[np.ndarray]):
+        self.ls = ls
+        self.blocks = blocks
+
+    def __call__(self, i: int, rng, budget: int) -> ShardResult:
+        return ShardResult(index=i, n_evals=0, payload=self.ls._batch_metrics(self.blocks[i]))
 
 
 class LimitState:
@@ -140,6 +165,31 @@ class LimitState:
         """Margin at ``u``; ``g <= 0`` is failure."""
         return self._margin(self.metric(u))
 
+    def _as_batch(self, u_batch) -> np.ndarray:
+        u_batch = np.atleast_2d(np.asarray(u_batch, dtype=float))
+        if u_batch.shape[1] != self.dim:
+            raise EstimationError(
+                f"{self.name}: batch has {u_batch.shape[1]} columns, expected {self.dim}"
+            )
+        return u_batch
+
+    def _batch_metrics(self, u_batch: np.ndarray) -> np.ndarray:
+        """Raw ``batch_fn`` metrics of a checked block; bills nothing."""
+        metrics = np.asarray(self._batch_fn(u_batch), dtype=float)
+        if metrics.shape != (u_batch.shape[0],):
+            raise EstimationError(
+                f"{self.name}: batch_fn returned shape {metrics.shape}, "
+                f"expected ({u_batch.shape[0]},)"
+            )
+        return metrics
+
+    def _bill_batch(self, u_batch: np.ndarray, metrics: np.ndarray) -> None:
+        self.n_evals += u_batch.shape[0]
+        if self._cache is not None and u_batch.shape[0] <= max(32, 4 * self.dim):
+            keyed = np.round(u_batch, self._cache_decimals) + 0.0
+            for row, value in zip(keyed, metrics):
+                self._cache_store(row.tobytes(), float(value))
+
     def g_batch(self, u_batch: np.ndarray) -> np.ndarray:
         """Margins for a block of samples (uses ``batch_fn`` when given).
 
@@ -153,27 +203,48 @@ class LimitState:
         FIFO-bounded cache through exactly the stencil entries it exists
         to keep.
         """
-        u_batch = np.atleast_2d(np.asarray(u_batch, dtype=float))
-        if u_batch.shape[1] != self.dim:
-            raise EstimationError(
-                f"{self.name}: batch has {u_batch.shape[1]} columns, expected {self.dim}"
-            )
+        u_batch = self._as_batch(u_batch)
         if self._batch_fn is not None:
-            metrics = np.asarray(self._batch_fn(u_batch), dtype=float)
-            if metrics.shape != (u_batch.shape[0],):
-                raise EstimationError(
-                    f"{self.name}: batch_fn returned shape {metrics.shape}, "
-                    f"expected ({u_batch.shape[0]},)"
-                )
-            self.n_evals += u_batch.shape[0]
-            if self._cache is not None and u_batch.shape[0] <= max(32, 4 * self.dim):
-                keyed = np.round(u_batch, self._cache_decimals) + 0.0
-                for row, value in zip(keyed, metrics):
-                    self._cache_store(row.tobytes(), float(value))
+            metrics = self._batch_metrics(u_batch)
+            self._bill_batch(u_batch, metrics)
             return self._margin(metrics)
         # Fallback: one metric() pass per row (billed and cached there),
         # margined once as a block rather than re-entering g() per row.
         metrics = np.array([self.metric(u) for u in u_batch])
+        return self._margin(metrics)
+
+    def g_batch_sharded(
+        self,
+        u_batch: np.ndarray,
+        n_shards: int,
+        workers: int = 1,
+        retry: Optional[RetryPolicy] = None,
+    ) -> np.ndarray:
+        """:meth:`g_batch` with the rows split over ``n_shards`` shards.
+
+        The rows split into contiguous blocks (``np.array_split``, empty
+        blocks dropped) that run in shard order on a transient
+        :class:`~repro.engine.sharding.ShardedRunner` of ``workers``
+        processes under ``retry`` — in process when ``workers == 1`` or
+        when already inside a pool worker.  The block plan is a pure
+        function of the rows and ``n_shards``, so the result never
+        depends on ``workers``; the evaluation count and the point cache
+        end up exactly as after an unsplit :meth:`g_batch` of the same
+        rows.  Stencil shards get no RNG stream, so the caller's
+        generator is neither drawn from nor spawned from.  One block (or
+        a limit state without ``batch_fn``) is plain :meth:`g_batch`.
+        """
+        u_batch = self._as_batch(u_batch)
+        blocks = [b for b in np.array_split(u_batch, max(1, int(n_shards))) if len(b)]
+        if len(blocks) < 2 or self._batch_fn is None:
+            return self.g_batch(u_batch)
+        n = len(blocks)
+        with ShardedRunner(min(int(workers), n), retry=retry) as runner:
+            results = runner.run_shards(
+                _BlockMetricsTask(self, blocks), [None] * n, [0] * n, skip_empty=False
+            )
+        metrics = np.concatenate([r.payload for r in results])
+        self._bill_batch(u_batch, metrics)
         return self._margin(metrics)
 
     def fails(self, u: np.ndarray) -> bool:
@@ -190,14 +261,17 @@ class LimitState:
         step: float = 0.05,
         scheme: str = "central",
         g0: Optional[float] = None,
+        evaluate: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> np.ndarray:
         """Finite-difference gradient of ``g`` using one batched call.
 
         The whole stencil (2d points for central, d for forward) is
-        evaluated through :meth:`g_batch`, so a vectorised engine prices
+        evaluated through :meth:`g_batch` (or ``evaluate``, e.g. a
+        sharded :meth:`g_batch_sharded`), so a vectorised engine prices
         a full gradient at roughly the cost of a handful of scalar
         simulations — the key economy behind the gradient MPFP search.
         """
+        evaluate = self.g_batch if evaluate is None else evaluate
         u = np.asarray(u, dtype=float)
         self._check(u)
         d = self.dim
@@ -206,14 +280,14 @@ class LimitState:
             for i in range(d):
                 stencil[2 * i, i] += step
                 stencil[2 * i + 1, i] -= step
-            vals = self.g_batch(stencil)
+            vals = evaluate(stencil)
             return (vals[0::2] - vals[1::2]) / (2.0 * step)
         if scheme == "forward":
             if g0 is None:
                 g0 = self.g(u)
             stencil = np.repeat(u[None, :], d, axis=0)
             stencil[np.arange(d), np.arange(d)] += step
-            vals = self.g_batch(stencil)
+            vals = evaluate(stencil)
             return (vals - g0) / step
         raise EstimationError(f"unknown finite-difference scheme {scheme!r}")
 
@@ -223,17 +297,20 @@ class LimitState:
         rng: np.random.Generator,
         step: float = 0.1,
         repeats: int = 4,
+        evaluate: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> np.ndarray:
         """Simultaneous-perturbation gradient (2×repeats batched evals).
 
         Cost independent of dimension — the option the paper's scaling
         argument needs once peripheral transistors push d past ~20.
+        ``evaluate`` replaces :meth:`g_batch` as in :meth:`fd_gradient`.
         """
+        evaluate = self.g_batch if evaluate is None else evaluate
         u = np.asarray(u, dtype=float)
         self._check(u)
         deltas = rng.choice([-1.0, 1.0], size=(repeats, self.dim))
         stencil = np.concatenate([u + step * deltas, u - step * deltas], axis=0)
-        vals = self.g_batch(stencil)
+        vals = evaluate(stencil)
         fp, fm = vals[:repeats], vals[repeats:]
         grad = ((fp - fm)[:, None] / (2.0 * step * deltas)).mean(axis=0)
         return grad

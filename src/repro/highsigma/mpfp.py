@@ -21,6 +21,16 @@ failure, the gradient walks straight down the margin surface in tens.
 All limit-state evaluations (including those inside finite-difference
 gradients) are billed through the limit state's counter — search cost is
 part of every reported evaluation count.
+
+With ``n_shards > 1`` every gradient batch (finite-difference stencil or
+SPSA probe set) runs through
+:meth:`~repro.highsigma.limitstate.LimitState.g_batch_sharded`: its rows
+split into ``n_shards`` contiguous blocks on a ``workers``-process pool.
+The search then depends on ``n_shards`` (a block may round differently
+from the whole batch — on the 96-axis array slice the two halves are
+bit-equal to it, on a 6T write stencil three or four blocks are not) but
+never on ``workers``, and the stencil shards never touch the search's
+RNG.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.engine.sharding import RetryPolicy
 from repro.errors import SearchError
 from repro.highsigma.limitstate import LimitState
 
@@ -103,6 +114,11 @@ class MpfpSearch:
     grad_fn:
         Optional exact gradient ``grad_fn(u) -> array`` (analytic limit
         states); otherwise finite differences per ``options.grad_mode``.
+    workers / n_shards / retry:
+        Gradient batches split into ``n_shards`` contiguous row blocks
+        run on ``workers`` processes under ``retry``
+        (:meth:`~repro.highsigma.limitstate.LimitState.g_batch_sharded`);
+        with the default ``n_shards=1`` that is one plain ``g_batch``.
     """
 
     def __init__(
@@ -110,22 +126,37 @@ class MpfpSearch:
         limit_state: LimitState,
         options: Optional[MpfpOptions] = None,
         grad_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        workers: int = 1,
+        n_shards: int = 1,
+        retry: Optional[RetryPolicy] = None,
     ):
         self.ls = limit_state
         self.opts = options or MpfpOptions()
         self._grad_fn = grad_fn
+        self.workers = max(1, int(workers))
+        self.n_shards = max(1, int(n_shards))
+        self.retry = retry
 
     # ------------------------------------------------------------------
+
+    def _stencil_batch(self, rows: np.ndarray) -> np.ndarray:
+        return self.ls.g_batch_sharded(
+            rows, self.n_shards, workers=self.workers, retry=self.retry
+        )
 
     def _gradient(self, u: np.ndarray, g_u: float, rng: np.random.Generator) -> np.ndarray:
         if self._grad_fn is not None:
             return np.asarray(self._grad_fn(u), dtype=float)
         opts = self.opts
         if opts.grad_mode in ("central", "forward"):
-            return self.ls.fd_gradient(u, step=opts.fd_step, scheme=opts.grad_mode, g0=g_u)
+            return self.ls.fd_gradient(
+                u, step=opts.fd_step, scheme=opts.grad_mode, g0=g_u,
+                evaluate=self._stencil_batch,
+            )
         if opts.grad_mode == "spsa":
             return self.ls.spsa_gradient(
-                u, rng, step=opts.fd_step, repeats=opts.spsa_repeats
+                u, rng, step=opts.fd_step, repeats=opts.spsa_repeats,
+                evaluate=self._stencil_batch,
             )
         raise SearchError(f"unknown grad_mode {self.opts.grad_mode!r}")
 

@@ -98,6 +98,9 @@ class JobStore:
         self._lock = threading.Lock()
         self._jobs: "Dict[str, Job]" = {}
         self._order: List[str] = []
+        # Per-status job counts, moved at every transition under the
+        # lock, so counts() stays O(1) however many jobs the store holds.
+        self._counts: Dict[str, int] = {status: 0 for status in JOB_STATUSES}
         self._counter = itertools.count(1)
         self._owns_spool = spool_dir is None
         if spool_dir is None:
@@ -123,6 +126,7 @@ class JobStore:
             job = Job(job_id=f"job-{next(self._counter):06d}", request=request)
             self._jobs[job.job_id] = job
             self._order.append(job.job_id)
+            self._counts[job.status] += 1
             return job
 
     def get(self, job_id: str) -> Optional[Job]:
@@ -136,34 +140,37 @@ class JobStore:
 
     def counts(self) -> Dict[str, int]:
         """Job counts by status (every status present, zeros included)."""
-        counts = {status: 0 for status in JOB_STATUSES}
         with self._lock:
-            for job in self._jobs.values():
-                counts[job.status] += 1
-        return counts
+            return dict(self._counts)
 
     # -- lifecycle transitions -----------------------------------------
+
+    def _move(self, job: Job, status: str) -> None:
+        """Set ``job.status`` and its counters; the caller holds the lock."""
+        self._counts[job.status] -= 1
+        self._counts[status] += 1
+        job.status = status
 
     def mark_running(self, job: Job, granted_workers: int) -> bool:
         """``queued -> running``; False when the job was cancelled first."""
         with self._lock:
             if job.status != "queued":
                 return False
-            job.status = "running"
+            self._move(job, "running")
             job.started_s = time.time()
             job.granted_workers = int(granted_workers)
             return True
 
     def mark_done(self, job: Job, result: EstimateResult) -> None:
         with self._lock:
-            job.status = "done"
+            self._move(job, "done")
             job.finished_s = time.time()
             job.result = result
         self._spool(job)
 
     def mark_failed(self, job: Job, error: Dict[str, Any]) -> None:
         with self._lock:
-            job.status = "failed"
+            self._move(job, "failed")
             job.finished_s = time.time()
             job.error = dict(error)
         self._spool(job)
@@ -173,7 +180,7 @@ class JobStore:
         with self._lock:
             if job.status != "queued":
                 return False
-            job.status = "cancelled"
+            self._move(job, "cancelled")
             job.finished_s = time.time()
             job.error = {"code": "A007", "message": reason}
         self._spool(job)

@@ -130,12 +130,16 @@ _EPS_ABS = 5e-3
 SPARSE_ASSEMBLY_THRESHOLD = 8
 
 #: Active-sample count below which the sparse pass delegates the
-#: Jacobian to the dense matmul.  BLAS switches to gemv-style kernels on
-#: very skinny right-hand sides and those reduce the inner dimension in
-#: a different order, so the scatter rounds would no longer be
-#: bit-equal; at these sizes the matmul costs next to nothing, so
-#: delegating keeps the bit-equality guarantee without giving up any of
-#: the bulk speedup.
+#: Jacobian to the dense matmul.  BLAS picks different kernels for skinny
+#: right-hand sides (gemv for one column, small-matrix kernels for a few)
+#: and some of them reduce the inner dimension in a different order, so
+#: the scatter rounds are not bit-equal to ``m_mat @ g_stack`` there.
+#: Which widths differ depends on the plan: on OpenBLAS 0.3.31 the
+#: array-slice plan differs only at width 1, but runs of the 7-leaker
+#: column differ at widths 2-4, 9-12 and 15 (pinned by
+#: ``tests/spice/test_compile.py``).  So the delegation starts at 16,
+#: although on the array-slice plan the matmul is not cheap there
+#: (0.25-0.65 ms against 0.06-0.09 ms for the rounds at widths 2-15).
 _SPARSE_MIN_BATCH = 16
 
 #: Serialization format version of the compiled-plan state (see

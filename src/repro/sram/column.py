@@ -35,7 +35,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.spice.compile import (
     CompiledTransient,
     CrossProbe,
@@ -58,6 +58,10 @@ __all__ = ["ColumnConfig", "ReadColumn"]
 CBL_PER_CELL = 0.12e-15
 #: Fixed wire/periphery loading per bitline.  Farads.
 CBL_WIRE = 2.0e-15
+#: Largest share of a compiled column or array-slice batch that may end
+#: with a non-converged Newton solve before the batch is refused — the
+#: bound ``Batched6T`` applies through ``max_fail_fraction``.
+MAX_NONCONVERGED_FRACTION = 0.01
 
 
 def _batch_n(delta_vth) -> int:
@@ -90,8 +94,17 @@ def _access_metric(res, pos: str, neg: str, timing, dv_spec: float,
     shortfall penalty
     ``(t_stop - t_wl) + (dv_spec - diff_final) * penalty_per_volt`` so
     search methods keep a gradient to climb — the one place the
-    convention is written down for the compiled bulk benches.
+    convention is written down for the compiled bulk benches.  A batch
+    in which more than :data:`MAX_NONCONVERGED_FRACTION` of the samples
+    did not converge raises :class:`~repro.errors.SimulationError`.
     """
+    bad = int(np.count_nonzero(~res.converged))
+    if bad > MAX_NONCONVERGED_FRACTION * res.converged.size:
+        raise SimulationError(
+            f"compiled {pos}/{neg} access run: {bad} of {res.converged.size} "
+            "samples failed Newton convergence; this indicates a setup "
+            "problem, not noise"
+        )
     t_wl_mid = timing.wl_delay + 0.5 * timing.wl_rise
     found = ~np.isnan(res.cross["access"])
     metric = np.empty(found.size)

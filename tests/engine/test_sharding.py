@@ -645,3 +645,144 @@ class TestShardedSss:
         assert r4.std_err == r1.std_err
         assert r4.n_evals == r1.n_evals == e1 == e4
         assert r4.diagnostics["counts"] == r1.diagnostics["counts"]
+
+
+def _curved_metric(ub):
+    """A parabolic margin field: failure where ``u0 + 0.05 |u_rest|^2``
+    reaches the spec, so every stencil row evaluates differently."""
+    ub = np.atleast_2d(ub)
+    return ub[:, 0] + 0.05 * np.sum(ub[:, 1:] ** 2, axis=1)
+
+
+def _curved_ls(batch_fn=_curved_metric, dim=6):
+    from repro.highsigma.limitstate import LimitState
+
+    return LimitState(None, spec=3.0, dim=dim, batch_fn=batch_fn, name="curved")
+
+
+class _FlakyOnce:
+    """``batch_fn`` that fails once, on the first ``rows``-row block it
+    sees in any process (a marker file records the firing)."""
+
+    def __init__(self, rows, marker):
+        self.rows = rows
+        self.marker = marker
+
+    def __call__(self, ub):
+        if len(ub) == self.rows and not os.path.exists(self.marker):
+            open(self.marker, "w").close()
+            raise RuntimeError("injected stencil fault")
+        return _curved_metric(ub)
+
+
+class TestShardedStencils:
+    """GIS gradient stencils split into ``n_shards`` contiguous row
+    blocks: ``workers`` stays a pure speed knob, the parent bills and
+    caches exactly as one unsplit ``g_batch``, and stencil shards never
+    touch the estimate's generator."""
+
+    @staticmethod
+    def _gis(ls, workers, n_shards=2, runner=None, grad_mode="central"):
+        from repro.highsigma.gis import GradientImportanceSampling
+        from repro.highsigma.mpfp import MpfpOptions
+
+        return GradientImportanceSampling(
+            ls, n_max=1500, batch_size=250, target_rel_err=None,
+            workers=workers, n_shards=n_shards, runner=runner,
+            mpfp_options=MpfpOptions(grad_mode=grad_mode),
+        )
+
+    @staticmethod
+    def _same(a, b):
+        assert a.p_fail == b.p_fail
+        assert a.std_err == b.std_err
+        assert a.n_evals == b.n_evals
+        assert a.diagnostics["search_evals"] == b.diagnostics["search_evals"]
+        assert a.diagnostics["mpfp_u"] == b.diagnostics["mpfp_u"]
+
+    @needs_fork
+    @pytest.mark.parametrize("grad_mode", ["central", "forward", "spsa"])
+    def test_workers_bit_identical(self, grad_mode, monkeypatch):
+        from repro.highsigma import limitstate
+
+        modes = []
+
+        class SpyRunner(ShardedRunner):
+            def run_shards(self, *args, **kwargs):
+                out = super().run_shards(*args, **kwargs)
+                modes.append(self.last_mode)
+                return out
+
+        monkeypatch.setattr(limitstate, "ShardedRunner", SpyRunner)
+        results = {}
+        for workers in (1, 2):
+            modes.clear()
+            ls = _curved_ls()
+            res = self._gis(ls, workers, grad_mode=grad_mode).run(np.random.default_rng(3))
+            results[workers] = (res, ls.n_evals)
+            assert modes and set(modes) == {"in-process" if workers == 1 else "fork"}
+        (r1, e1), (r2, e2) = results[1], results[2]
+        self._same(r1, r2)
+        assert e1 == e2 == r1.n_evals
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+    def test_sharded_stencil_bills_and_caches_like_one_batch(self, workers):
+        rows = np.random.default_rng(0).standard_normal((12, 6))
+        whole, split = _curved_ls(), _curved_ls()
+        g_whole = whole.g_batch(rows)
+        g_split = split.g_batch_sharded(rows, 2, workers=workers)
+        np.testing.assert_array_equal(g_whole, g_split)
+        assert split.n_evals == whole.n_evals == 12
+        assert split._cache == whole._cache
+
+    @needs_fork
+    def test_compiled_stencil_bills_and_caches_like_one_batch(self):
+        from repro.experiments.workloads import make_read_limitstate
+
+        whole = make_read_limitstate(5.75e-11, n_steps=200)
+        split = make_read_limitstate(5.75e-11, n_steps=200)
+        u = np.random.default_rng(1).standard_normal(whole.dim) * 0.5
+        grad_whole = whole.fd_gradient(u)
+        grad_split = split.fd_gradient(
+            u, evaluate=lambda rows: split.g_batch_sharded(rows, 2, workers=2)
+        )
+        np.testing.assert_array_equal(grad_whole, grad_split)
+        assert split.n_evals == whole.n_evals == 2 * whole.dim
+        assert split._cache == whole._cache
+
+    @pytest.mark.parametrize("grad_mode", ["central", "spsa"])
+    def test_stencil_shards_leave_the_estimate_rng_alone(self, grad_mode):
+        """Spawning stencil streams from the estimate's generator would
+        advance its SeedSequence spawn counter and move every later IS
+        shard stream; drawing from it would move the generator state."""
+        states = []
+        for n_shards in (1, 4):
+            rng = np.random.default_rng(9)
+            self._gis(_curved_ls(), 1, n_shards=n_shards, grad_mode=grad_mode).search_mpfps(rng)
+            states.append(
+                (rng.bit_generator.state, rng.bit_generator.seed_seq.n_children_spawned)
+            )
+        assert states[1] == states[0]
+        assert states[1][1] == 0
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+    def test_failed_stencil_shard_retried_bit_identical(self, workers, tmp_path):
+        from repro.engine.sharding import RetryPolicy
+        from repro.errors import ShardExecutionError
+
+        clean = self._gis(_curved_ls(), workers).run(np.random.default_rng(4))
+        marker = str(tmp_path / "fired")
+        flaky = _curved_ls(batch_fn=_FlakyOnce(rows=6, marker=marker))
+        with ShardedRunner(
+            workers, persistent=True, retry=RetryPolicy(max_attempts=2)
+        ) as runner:
+            retried = self._gis(flaky, workers, runner=runner).run(np.random.default_rng(4))
+        assert os.path.exists(marker)  # the fault did fire
+        self._same(clean, retried)
+        assert flaky.n_evals == clean.n_evals
+
+        os.remove(marker)
+        with pytest.raises(ShardExecutionError):
+            self._gis(_curved_ls(batch_fn=_FlakyOnce(rows=6, marker=marker)), workers).run(
+                np.random.default_rng(4)
+            )

@@ -220,11 +220,14 @@ class TestArrayWorkload:
         assert abs(ls.g(u_unsel) - g0) < 0.5 * (g0 - ls.g(u_sel))
 
     def test_cross_check_paths_agree(self):
+        # 160 steps: on a 120-step grid the first sample's Newton solve
+        # falls into a 2-cycle that never converges, and the access
+        # metric refuses such a batch on every assembly/solver path.
         dense = make_array_read_limitstate(
-            6e-11, n_cols=2, n_leakers=2, n_steps=120, assembly="dense"
+            6e-11, n_cols=2, n_leakers=2, n_steps=160, assembly="dense"
         )
         blocked = make_array_read_limitstate(
-            6e-11, n_cols=2, n_leakers=2, n_steps=120, solver="blocked"
+            6e-11, n_cols=2, n_leakers=2, n_steps=160, solver="blocked"
         )
         u = np.random.default_rng(9).normal(size=(2, dense.dim))
         np.testing.assert_allclose(

@@ -8,7 +8,7 @@ import pytest
 
 from repro import api
 from repro.errors import ConfigError
-from repro.service.jobs import JobStore
+from repro.service.jobs import JOB_STATUSES, JobStore
 
 
 def request():
@@ -65,6 +65,40 @@ class TestLifecycle:
             store.mark_failed(job, {"code": "A003", "message": "boom"})
             assert job.status == "failed"
             assert job.to_json()["error"]["code"] == "A003"
+        finally:
+            store.close()
+
+    def test_counts_match_a_recount_after_every_transition(self):
+        """counts() reads per-status counters; they must equal a walk
+        over the jobs after queued, running, done, failed, cancelled and
+        refused transitions alike."""
+        store = JobStore()
+
+        def recount():
+            counts = {status: 0 for status in JOB_STATUSES}
+            for job in store.jobs():
+                counts[job.status] += 1
+            return counts
+
+        try:
+            jobs = [store.create(request()) for _ in range(5)]
+            assert store.counts() == recount()
+            steps = [
+                lambda: store.mark_running(jobs[0], granted_workers=1),
+                lambda: store.mark_done(jobs[0], result()),
+                lambda: store.mark_running(jobs[1], granted_workers=1),
+                lambda: store.mark_failed(jobs[1], {"code": "A003", "message": "x"}),
+                lambda: store.mark_cancelled(jobs[2], "test"),
+                lambda: store.mark_running(jobs[2], granted_workers=1),  # refused
+                lambda: store.mark_running(jobs[3], granted_workers=1),
+                lambda: store.mark_cancelled(jobs[3], "too late"),  # refused
+            ]
+            for step in steps:
+                step()
+                assert store.counts() == recount()
+            assert store.counts() == {
+                "queued": 1, "running": 1, "done": 1, "failed": 1, "cancelled": 1,
+            }
         finally:
             store.close()
 

@@ -279,6 +279,28 @@ class TestSparseAssembly:
         s = column.access_times_batch(dvth, n_steps=160, assembly="sparse")
         np.testing.assert_array_equal(d, s)
 
+    def test_bit_equal_on_column_at_skinny_widths(self):
+        """Batches of 1-16 samples, where BLAS swaps kernels.  On the
+        7-leaker column the scatter rounds differ from the matmul at
+        most widths below ``_SPARSE_MIN_BATCH`` (2-4, 9-12 and 15 with
+        OpenBLAS 0.3.31), which is why those widths delegate to the
+        dense pass."""
+        from repro.sram.column import ColumnConfig, ReadColumn
+
+        column = ReadColumn(config=ColumnConfig(n_leakers=7))
+        dense = column.compiled(n_steps=160, assembly="dense")
+        sparse = column.compiled(n_steps=160, assembly="sparse")
+        names = column.all_device_names()
+        ic = column._initial_conditions()
+        rng = np.random.default_rng(12)
+        for width in range(1, 17):
+            dvth = rng.normal(0.0, 0.03, size=(width, len(names)))
+            per_device = {name: dvth[:, j] for j, name in enumerate(names)}
+            _assert_runs_bit_equal(
+                dense.run(ic=ic, n=width, delta_vth=per_device),
+                sparse.run(ic=ic, n=width, delta_vth=per_device),
+            )
+
 
 class TestSchurSolver:
     @staticmethod

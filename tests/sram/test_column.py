@@ -1,5 +1,6 @@
 """Column testbench tests: loading, leakage, data-pattern dependence."""
 
+import numpy as np
 import pytest
 
 from repro.sram.column import CBL_PER_CELL, CBL_WIRE, ColumnConfig, ReadColumn
@@ -71,3 +72,44 @@ class TestReadBehaviour:
         before = small_column.n_simulations
         small_column.simulate()
         assert small_column.n_simulations == before + 1
+
+
+class TestNonConvergenceGuard:
+    """The compiled column and array-slice access metrics refuse a batch
+    whose Newton solves did not converge, instead of folding the
+    unconverged samples into the metric."""
+
+    @pytest.fixture
+    def starved(self, monkeypatch):
+        """Route both testbenches' compiles to one Newton iteration per
+        step, in a private plan cache so no starved plan outlives the
+        test."""
+        import repro.sram.array as array_mod
+        import repro.sram.column as column_mod
+        from repro.spice.plan import PlanCache, compile_cached
+
+        def compile_starved(*args, **kwargs):
+            return compile_cached(*args, cache=PlanCache(), newton_max_iter=1, **kwargs)
+
+        monkeypatch.setattr(column_mod, "compile_cached", compile_starved)
+        monkeypatch.setattr(array_mod, "compile_cached", compile_starved)
+
+    def test_column_batch_refused(self, starved):
+        from repro.errors import SimulationError
+
+        column = ReadColumn(config=ColumnConfig(n_leakers=3))
+        with pytest.raises(SimulationError, match="failed Newton convergence"):
+            column.access_times_batch(np.zeros((4, 24)), n_steps=160)
+
+    def test_array_batch_refused(self, starved):
+        from repro.errors import SimulationError
+        from repro.sram.array import ArrayConfig, ArraySlice
+
+        arr = ArraySlice(config=ArrayConfig(n_cols=2, n_leakers=1))
+        with pytest.raises(SimulationError, match="failed Newton convergence"):
+            arr.access_times_batch(np.zeros((4, 24)), n_steps=160)
+
+    def test_converged_batch_passes(self):
+        column = ReadColumn(config=ColumnConfig(n_leakers=3))
+        metric = column.access_times_batch(np.zeros((4, 24)), n_steps=160)
+        assert np.all(np.isfinite(metric))
